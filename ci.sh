@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build + tests, sanitizer build + tests, a
+# CI entry point: tier-1 build + tests, a compile-only build of the
+# end-to-end benchmark (perfbench/), sanitizer build + tests, a
 # Release bench_index_micro --quick gate (vectorized-scan and heatmap
 # speedup floors, plus a 20% drift band against the committed
 # bench/baselines/BENCH_index_micro.json invariants), and
@@ -36,6 +37,12 @@ echo "== metrics doc lint (tools/metrics_doc --check) =="
 # Every registered metric must carry a help string and appear in
 # docs/METRICS.md (regenerate with ./build/tools/metrics_doc > docs/METRICS.md).
 ./build/tools/metrics_doc --check docs/METRICS.md
+
+echo "== end-to-end benchmark build (perfbench/, compile only) =="
+# perfbench/ compiles src/ as it stands; building it here makes a src/ API
+# change that breaks the benchmark fail in CI rather than at benchmark time.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-perfbench -j "$JOBS"
 
 if [ "$SKIP_SANITIZE" -eq 0 ]; then
   echo "== sanitizer build (ASan+UBSan) =="

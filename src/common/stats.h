@@ -1,4 +1,4 @@
-// Measurement utilities: running moments, quantile histograms, counters.
+// Measurement utilities: running moments and quantile histograms.
 //
 // Benchmarks and the framework's self-instrumentation (bytes on the wire,
 // per-worker load, query latency) all report through these types.
@@ -7,9 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace stcn {
@@ -172,42 +169,6 @@ class QuantileRecorder {
   std::size_t sorted_prefix_ = 0;  // samples_[0, prefix) are sorted
   std::size_t n_ = 0;
   double sum_ = 0.0;
-};
-
-/// Named monotonic counters, used for transport accounting and pruning
-/// statistics ("candidates examined", "messages sent", "bytes moved").
-class CounterSet {
- public:
-  void add(const std::string& name, std::uint64_t delta = 1) {
-    counters_[name] += delta;
-  }
-
-  /// Overwrites a counter (used by the metrics-registry bridge, which
-  /// mirrors handle-backed counters into CounterSet views at read time).
-  void set(const std::string& name, std::uint64_t value) {
-    counters_[name] = value;
-  }
-
-  [[nodiscard]] std::uint64_t get(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-
-  void reset() { counters_.clear(); }
-
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& all() const {
-    return counters_;
-  }
-
-  friend std::ostream& operator<<(std::ostream& os, const CounterSet& c) {
-    for (const auto& [name, value] : c.counters_) {
-      os << "  " << name << " = " << value << "\n";
-    }
-    return os;
-  }
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
 };
 
 }  // namespace stcn

@@ -54,7 +54,7 @@ void Coordinator::dispatch(const Message& message, SimNetwork& network) {
       Heartbeat hb = decode_heartbeat(reader);
       last_heartbeat_[hb.worker] = network.now();
       if (suspected_.erase(hb.worker) > 0) {
-        counters_.add("workers_unsuspected");
+        workers_unsuspected_.inc();
       }
       for (const PartitionHeat& ph : hb.heat) {
         heat_.ingest(hb.worker, ph, network.now());
@@ -73,7 +73,7 @@ void Coordinator::dispatch(const Message& message, SimNetwork& network) {
     case MsgType::kIngestForward: {
       // Relay-mode gateway traffic: re-route each detection to its worker.
       IngestForward forward = decode_ingest_forward(reader);
-      counters_.add("ingest_forwards");
+      ingest_forwards_.inc();
       for (const Detection& d : forward.detections) ingest(d, network);
       flush_ingest(network);
       break;
@@ -82,7 +82,7 @@ void Coordinator::dispatch(const Message& message, SimNetwork& network) {
       on_recovery_done(decode_recovery_done(reader));
       break;
     default:
-      counters_.add("unknown_message");
+      unknown_message_.inc();
       break;
   }
 }
@@ -516,7 +516,7 @@ void Coordinator::hedge(std::uint64_t request_id, SimNetwork& network) {
         // The backup is the mid-resync rejoiner: hedging to it would race
         // an incomplete partition. The surviving holder (the primary we
         // already asked) is the only correct source.
-        counters_.add("hedges_suppressed_recovering");
+        hedges_suppressed_recovering_.inc();
         continue;
       }
       if (!map_.has_distinct_backup(p)) continue;
@@ -653,46 +653,6 @@ void Coordinator::failover_retry(std::uint64_t request_id,
   }
 }
 
-void Coordinator::register_event_counter_help() {
-  metrics_.set_help("workers_unsuspected",
-                    "Suspected workers cleared after a heartbeat resumed");
-  metrics_.set_help("ingest_forwards",
-                    "Detections routed to workers by the ingest path");
-  metrics_.set_help("unknown_message",
-                    "Messages dropped for an unrecognized type");
-  metrics_.set_help("hedges_suppressed_recovering",
-                    "Hedges skipped because the backup was still recovering");
-  metrics_.set_help("partitions_failed_over",
-                    "Partitions re-pointed at a replica after a crash");
-  metrics_.set_help("partitions_rereplicated",
-                    "Partitions assigned a new replica after failover");
-  metrics_.set_help("recoveries_started",
-                    "Worker restarts that began partition resync");
-  metrics_.set_help("recovery_done_stale",
-                    "Recovery completions for an already-superseded plan");
-  metrics_.set_help("partitions_recovered",
-                    "Partitions fully resynced onto a restarted worker");
-  metrics_.set_help("monitors_installed",
-                    "Continuous monitors installed across workers");
-  metrics_.set_help("monitor_fanout_total",
-                    "Worker installations summed over all monitors");
-  metrics_.set_help("deltas_positive",
-                    "Continuous-monitor delta notifications with new rows");
-  metrics_.set_help("deltas_negative",
-                    "Continuous-monitor delta notifications retracting rows");
-  metrics_.set_help("knn_adaptive_plans",
-                    "kNN queries planned with the adaptive radius ladder");
-  metrics_.set_help("knn_adaptive_degenerate",
-                    "Adaptive kNN plans that fell back to a full-space probe");
-  metrics_.set_help("knn_adaptive_rounds",
-                    "Radius-expansion rounds issued by adaptive kNN");
-  metrics_.set_help("workers_crashed", "Worker crashes injected or observed");
-  metrics_.set_help("workers_restarted",
-                    "Worker restarts driven through the cluster");
-  metrics_.set_help("resync_timeout",
-                    "Recovery resyncs abandoned after the drain deadline");
-}
-
 Coordinator::PeerStats& Coordinator::peer_stats(NodeId worker) {
   auto [it, inserted] = peer_stats_.try_emplace(worker.value());
   if (inserted) {
@@ -743,7 +703,7 @@ void Coordinator::promote_backups_of(WorkerId worker) {
     if (map_.primary(p) == worker && map_.has_distinct_backup(p) &&
         !suspected_.contains(map_.backup(p))) {
       map_.set_primary(p, map_.backup(p));
-      counters_.add("partitions_failed_over");
+      partitions_failed_over_.inc();
     }
   }
 }
@@ -782,7 +742,7 @@ Coordinator::RecoveryPlan Coordinator::begin_worker_recovery(WorkerId w) {
       recovering_[p] = {w, primary, /*restore_primary=*/false,
                         plan.recovery_id};
       plan.specs.push_back({p, worker_node(primary)});
-      counters_.add("partitions_rereplicated");
+      partitions_rereplicated_.inc();
     } else if (primary == w && backup == w) {
       // No surviving holder anywhere: recovery is local-only (vault
       // snapshot or nothing). Not marked RECOVERING — queries against it
@@ -790,7 +750,7 @@ Coordinator::RecoveryPlan Coordinator::begin_worker_recovery(WorkerId w) {
       plan.specs.push_back({p, NodeId(0)});
     }
   }
-  if (recovering_count_for(w) > 0) counters_.add("recoveries_started");
+  if (recovering_count_for(w) > 0) recoveries_started_.inc();
   partitions_recovering_.set(static_cast<double>(recovering_.size()));
   return plan;
 }
@@ -801,7 +761,7 @@ void Coordinator::on_recovery_done(const RecoveryDone& done) {
       it->second.recovery_id != done.recovery_id) {
     // Stale completion from a previous incarnation (the worker re-crashed
     // and a new plan superseded this one): must not flip routing.
-    counters_.add("recovery_done_stale");
+    recovery_done_stale_.inc();
     return;
   }
   RecoveringPartition r = it->second;
@@ -810,7 +770,7 @@ void Coordinator::on_recovery_done(const RecoveryDone& done) {
     map_.set_primary(done.partition, r.target);
     map_.set_backup(done.partition, r.holder);
   }
-  counters_.add("partitions_recovered");
+  partitions_recovered_.inc();
   partitions_recovering_.set(static_cast<double>(recovering_.size()));
 }
 
@@ -832,8 +792,8 @@ void Coordinator::install_monitor(const ContinuousQuerySpec& spec,
                   static_cast<std::uint32_t>(MsgType::kInstallMonitor),
                   payload, network.now(), {}});
   }
-  counters_.add("monitors_installed");
-  counters_.add("monitor_fanout_total", targets.size());
+  monitors_installed_.inc();
+  monitor_fanout_total_.add(targets.size());
 }
 
 void Coordinator::remove_monitor(QueryId id, const Rect& region,
@@ -863,7 +823,7 @@ void Coordinator::on_deltas(const DeltaBatch& batch) {
     } else {
       live.erase(d.detection.id.value());
     }
-    counters_.add(d.positive ? "deltas_positive" : "deltas_negative");
+    (d.positive ? deltas_positive_ : deltas_negative_).inc();
   }
 }
 

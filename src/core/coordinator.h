@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/stats.h"
 #include "core/protocol.h"
 #include "core/recovery.h"
 #include "net/node.h"
@@ -144,10 +143,7 @@ class Coordinator final : public NetworkNode {
         slow_log_(config.slow_query_threshold,
                   config.slow_query_log_capacity),
         ledger_(config.ledger),
-        channel_(id, counters_, config.channel) {
-    channel_.register_metrics(metrics_);
-    register_event_counter_help();
-  }
+        channel_(id, metrics_, config.channel) {}
 
   [[nodiscard]] NodeId node_id() const override { return id_; }
   void handle_message(const Message& message, SimNetwork& network) override;
@@ -243,15 +239,8 @@ class Coordinator final : public NetworkNode {
   /// failover leaves a partition with primary == backup).
   [[nodiscard]] PartitionMap& mutable_partition_map() { return map_; }
 
-  /// Counter view; registry-backed counters are mirrored in at read time.
-  [[nodiscard]] const CounterSet& counters() const {
-    metrics_.sync_counters_into(counters_);
-    return counters_;
-  }
-  CounterSet& counters() {
-    metrics_.sync_counters_into(counters_);
-    return counters_;
-  }
+  /// Counter reads by name (`counters().get("ingested")`) from metrics().
+  [[nodiscard]] const MetricsRegistry& counters() const { return metrics_; }
 
   /// Pre-registered metric handles (counters, query-latency histogram).
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
@@ -369,10 +358,6 @@ class Coordinator final : public NetworkNode {
   };
   PeerStats& peer_stats(NodeId worker);
 
-  /// Help strings for eagerly-bumped CounterSet events (no registry handle;
-  /// picked up by import_counter_set when snapshots are assembled).
-  void register_event_counter_help();
-
   /// Application-level dispatch (after reliable-channel unwrapping).
   void dispatch(const Message& message, SimNetwork& network);
 
@@ -441,13 +426,8 @@ class Coordinator final : public NetworkNode {
   // Freshest object-presence summary per partition (trajectory pruning).
   std::unordered_map<PartitionId, ObjectSummary> summaries_;
 
-  // mutable: observability counters are updated from const query-planning
-  // paths (e.g. footprint pruning), and registry-backed counters are
-  // mirrored in from const accessors.
-  mutable CounterSet counters_;
-
-  // Pre-registered metric handles for hot paths; everything else still
-  // writes counters_ eagerly and both views meet in counters().
+  // The node's one counter store: every metric it reports is registered
+  // here at construction (peer.* series on first contact).
   MetricsRegistry metrics_;
   Counter& ingested_;
   Counter& queries_submitted_;
@@ -475,6 +455,43 @@ class Coordinator final : public NetworkNode {
   Gauge& partition_hottest_load_;
   Gauge& partition_tracked_;
   std::unordered_map<std::uint64_t, PeerStats> peer_stats_;  // by node id
+  // Event counters on cold paths: failure detection, failover, recovery
+  // and continuous monitors.
+  Counter& workers_unsuspected_ = metrics_.counter(
+      "workers_unsuspected",
+      "Suspected workers cleared after a heartbeat resumed");
+  Counter& ingest_forwards_ = metrics_.counter(
+      "ingest_forwards", "Detections routed to workers by the ingest path");
+  Counter& unknown_message_ = metrics_.counter(
+      "unknown_message", "Messages dropped for an unrecognized type");
+  Counter& hedges_suppressed_recovering_ = metrics_.counter(
+      "hedges_suppressed_recovering",
+      "Hedges skipped because the backup was still recovering");
+  Counter& partitions_failed_over_ = metrics_.counter(
+      "partitions_failed_over",
+      "Partitions re-pointed at a replica after a crash");
+  Counter& partitions_rereplicated_ = metrics_.counter(
+      "partitions_rereplicated",
+      "Partitions assigned a new replica after failover");
+  Counter& recoveries_started_ = metrics_.counter(
+      "recoveries_started", "Worker restarts that began partition resync");
+  Counter& recovery_done_stale_ = metrics_.counter(
+      "recovery_done_stale",
+      "Recovery completions for an already-superseded plan");
+  Counter& partitions_recovered_ = metrics_.counter(
+      "partitions_recovered",
+      "Partitions fully resynced onto a restarted worker");
+  Counter& monitors_installed_ = metrics_.counter(
+      "monitors_installed", "Continuous monitors installed across workers");
+  Counter& monitor_fanout_total_ = metrics_.counter(
+      "monitor_fanout_total",
+      "Worker installations summed over all monitors");
+  Counter& deltas_positive_ = metrics_.counter(
+      "deltas_positive",
+      "Continuous-monitor delta notifications with new rows");
+  Counter& deltas_negative_ = metrics_.counter(
+      "deltas_negative",
+      "Continuous-monitor delta notifications retracting rows");
 
   Tracer* tracer_ = nullptr;
   SlowQueryLog slow_log_;
@@ -485,7 +502,7 @@ class Coordinator final : public NetworkNode {
   std::uint64_t profiled_request_ = 0;
 
   // Reliable transport for ingest batches and query fragments. Declared
-  // after counters_/metrics_ (it writes its accounting there).
+  // after metrics_ (it registers its accounting there).
   ReliableChannel channel_;
 };
 

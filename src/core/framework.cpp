@@ -32,6 +32,22 @@ Cluster::Cluster(Rect world, std::unique_ptr<PartitionStrategy> strategy,
       NodeId(kCoordinatorNode), *strategy_, std::move(map),
       coordinator_config);
   network_.attach(*coordinator_);
+  // Events this facade drives are counted in the coordinator's registry.
+  MetricsRegistry& events = coordinator_->metrics();
+  knn_adaptive_plans_ = &events.counter(
+      "knn_adaptive_plans",
+      "kNN queries planned with the adaptive radius ladder");
+  knn_adaptive_degenerate_ = &events.counter(
+      "knn_adaptive_degenerate",
+      "Adaptive kNN plans that fell back to a full-space probe");
+  knn_adaptive_rounds_ = &events.counter(
+      "knn_adaptive_rounds", "Radius-expansion rounds issued by adaptive kNN");
+  workers_crashed_ = &events.counter("workers_crashed",
+                                     "Worker crashes injected or observed");
+  workers_restarted_ = &events.counter(
+      "workers_restarted", "Worker restarts driven through the cluster");
+  resync_timeout_ = &events.counter(
+      "resync_timeout", "Recovery resyncs abandoned after the drain deadline");
   coordinator_->set_tracer(&tracer_);
   coordinator_->set_profiler(&profiler_);
   coordinator_->start(network_);
@@ -212,13 +228,13 @@ QueryResult Cluster::execute_knn_adaptive(Point center, std::uint32_t k,
   KnnPlanner planner(estimator_, world_);
   KnnPlan plan =
       planner.plan(center, k, interval, profiling ? &profiler_ : nullptr);
-  coordinator_->counters().add("knn_adaptive_plans");
-  if (plan.degenerate) coordinator_->counters().add("knn_adaptive_degenerate");
+  knn_adaptive_plans_->inc();
+  if (plan.degenerate) knn_adaptive_degenerate_->inc();
 
   double radius = plan.initial_radius;
   bool first_round = true;
   for (;;) {
-    coordinator_->counters().add("knn_adaptive_rounds");
+    knn_adaptive_rounds_->inc();
     std::size_t round_stage = QueryProfiler::kNoStage;
     if (profiling) {
       round_stage = profiler_.open_stage("knn.round", network_.now());
@@ -295,12 +311,8 @@ MetricsRegistry Cluster::metrics_snapshot() const {
   MetricsRegistry snapshot;
   network_.metrics().merge_into(snapshot, "net.");
   coordinator_->metrics().merge_into(snapshot, "coordinator.");
-  snapshot.import_counter_set(coordinator_->counters(), "coordinator.",
-                              &coordinator_->metrics());
   for (const auto& worker : workers_) {
     worker->metrics().merge_into(snapshot, "worker.");
-    snapshot.import_counter_set(worker->counters(), "worker.",
-                                &worker->metrics());
   }
   coordinator_->cost_ledger().metrics().merge_into(snapshot, "cost.");
   return snapshot;
@@ -321,9 +333,7 @@ void Cluster::sample_health_at(TimePoint now) {
 std::uint64_t Cluster::recovery_failed_total() const {
   std::uint64_t total = 0;
   for (const auto& worker : workers_) {
-    const auto& counters = worker->metrics().counters();
-    auto it = counters.find("recovery_failed");
-    if (it != counters.end()) total += it->second->value();
+    total += worker->counters().get("recovery_failed");
   }
   return total;
 }
@@ -517,7 +527,7 @@ void Cluster::advance_time(Duration d) {
 void Cluster::crash_worker(WorkerId w) {
   network_.crash(NodeId(w.value()));
   worker(w).lose_state();
-  coordinator_->counters().add("workers_crashed");
+  workers_crashed_->inc();
 }
 
 Cluster::RecoveryReport Cluster::restart_worker(WorkerId w) {
@@ -564,7 +574,7 @@ Cluster::RecoveryReport Cluster::restart_worker(WorkerId w) {
       node.resync_complete() && coordinator_->recovering_count_for(w) == 0 &&
       report.partitions_failed == 0;
   if (!report.completed && network_.now() >= deadline) {
-    coordinator_->counters().add("resync_timeout");
+    resync_timeout_->inc();
   }
   if (rspan.valid()) {
     tracer_.tag(rspan, "partitions", std::to_string(report.partitions_total));
@@ -573,7 +583,7 @@ Cluster::RecoveryReport Cluster::restart_worker(WorkerId w) {
     tracer_.tag(rspan, "outcome", report.completed ? "ok" : "incomplete");
     tracer_.end_span(rspan, network_.now());
   }
-  coordinator_->counters().add("workers_restarted");
+  workers_restarted_->inc();
   return report;
 }
 

@@ -252,8 +252,8 @@ class Cluster {
   }
 
   /// One registry holding every node's metrics, namespaced: `net.*`,
-  /// `coordinator.*`, `worker.*` (summed across workers). Counter-only
-  /// node stats not yet on handles are imported too, so the snapshot is a
+  /// `coordinator.*`, `worker.*` (summed across workers), `cost.*`. Each
+  /// node counts everything in its own registry, so the snapshot is a
   /// complete machine-readable view of the cluster.
   [[nodiscard]] MetricsRegistry metrics_snapshot() const;
 
@@ -326,6 +326,13 @@ class Cluster {
   SimNetwork network_;
   Tracer tracer_;
   std::unique_ptr<Coordinator> coordinator_;
+  // Handles in the coordinator's registry for events this facade drives.
+  Counter* knn_adaptive_plans_ = nullptr;
+  Counter* knn_adaptive_degenerate_ = nullptr;
+  Counter* knn_adaptive_rounds_ = nullptr;
+  Counter* workers_crashed_ = nullptr;
+  Counter* workers_restarted_ = nullptr;
+  Counter* resync_timeout_ = nullptr;
   std::vector<std::unique_ptr<WorkerNode>> workers_;
   std::vector<WorkerId> worker_ids_;
   std::uint64_t next_query_id_ = 1;

@@ -99,7 +99,7 @@ struct ClusterStats {
 /// Snapshots all counters of a running cluster.
 inline ClusterStats collect_stats(Cluster& cluster) {
   ClusterStats s;
-  const CounterSet& c = cluster.coordinator().counters();
+  const MetricsRegistry& c = cluster.coordinator().counters();
   s.events_ingested = c.get("ingested");
   s.queries = c.get("queries_submitted");
   s.mean_fanout = cluster.coordinator().mean_fanout();

@@ -73,10 +73,6 @@ LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
   return *it->second;
 }
 
-void MetricsRegistry::sync_counters_into(CounterSet& sink) const {
-  for (const auto& [name, c] : counters_) sink.set(name, c->value());
-}
-
 void MetricsRegistry::merge_into(MetricsRegistry& dst,
                                  const std::string& prefix) const {
   for (const auto& [name, c] : counters_) {
@@ -91,25 +87,6 @@ void MetricsRegistry::merge_into(MetricsRegistry& dst,
   for (const auto& [name, help] : help_) dst.set_help(prefix + name, help);
   for (const auto& [name, labels] : labels_) {
     dst.set_labels(prefix + name, labels);
-  }
-}
-
-void MetricsRegistry::import_counter_set(const CounterSet& counters,
-                                         const std::string& prefix,
-                                         const MetricsRegistry* handle_owner) {
-  for (const auto& [name, value] : counters.all()) {
-    if (handle_owner != nullptr) {
-      if (handle_owner->counters_.contains(name)) continue;
-      counter(prefix + name).add(value);
-      // Eager counters carry no handle, but the owner registry may still
-      // hold a help string for the name (set_help without registration).
-      const std::string& h = handle_owner->help(name);
-      if (!h.empty()) set_help(prefix + name, h);
-      continue;
-    }
-    std::string full = prefix + name;
-    if (counters_.contains(full)) continue;
-    counter(full).add(value);
   }
 }
 

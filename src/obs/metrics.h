@@ -1,22 +1,21 @@
 // Metrics registry: pre-registered counters, gauges, and log-scale latency
 // histograms with machine-readable export.
 //
-// The legacy CounterSet costs a string hash + map lookup on every add —
-// fine for cold paths, measurable on per-message and per-detection paths.
-// The registry hands out *stable handles* at registration time:
+// Each node (coordinator, worker, network) keeps exactly one registry and
+// counts every event through handles registered in it. Handles are
+// *stable*, so an increment is one pointer write rather than a string hash
+// + map lookup:
 //
 //   Counter& ingested = registry.counter("ingested");
 //   ... hot loop: ingested.inc();              // one pointer write
+//
+// Readers that want one value by name use get("ingested").
 //
 // Histograms use fixed power-of-two buckets over microseconds, so p50/p95/
 // p99 are available without storing samples (O(1) memory, O(buckets)
 // quantile). Exporters: Prometheus text format and JSON; the JSON form
 // round-trips through metrics_registry_from_json so downstream tooling can
 // diff snapshots across runs.
-//
-// Compatibility: sync_counters_into() mirrors every registered counter into
-// a CounterSet, so existing stats plumbing and tests keep working while hot
-// paths migrate to handles.
 #pragma once
 
 #include <algorithm>
@@ -28,8 +27,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "common/stats.h"
 
 namespace stcn {
 
@@ -257,6 +254,11 @@ class MetricsRegistry {
   counters() const {
     return counters_;
   }
+  /// Value of the counter `name`, or 0 when none is registered.
+  [[nodiscard]] std::uint64_t get(const std::string& name) const {
+    auto it = counters_.find(name);
+    return it == counters_.end() ? 0 : it->second->value();
+  }
   [[nodiscard]] const std::map<std::string, std::unique_ptr<Gauge>>& gauges()
       const {
     return gauges_;
@@ -267,31 +269,10 @@ class MetricsRegistry {
     return histograms_;
   }
 
-  /// Mirrors every registered counter into `sink` (set semantics), bridging
-  /// handle-based hot paths into legacy CounterSet consumers.
-  void sync_counters_into(CounterSet& sink) const;
-
   /// Adds this registry's metrics into `dst` under `prefix` (counters and
   /// histograms accumulate; gauges accumulate too, which makes merged
   /// worker gauges totals).
   void merge_into(MetricsRegistry& dst, const std::string& prefix) const;
-
-  /// Imports CounterSet entries as counters under `prefix`.
-  ///
-  /// With `handle_owner` given (the registry of the node the CounterSet
-  /// belongs to), only names that registry owns are skipped: those are
-  /// handle-backed counters already merged via merge_into, and the
-  /// CounterSet mirrors them (sync_counters_into), so importing them again
-  /// would double-count. Eager-only names always accumulate — importing a
-  /// second node's CounterSet under the same prefix sums, it does not drop.
-  ///
-  /// Without `handle_owner` the legacy behavior applies: any name already
-  /// present in *this* registry under `prefix` is skipped. That guard also
-  /// swallows the second node's eager counters, so multi-node snapshot
-  /// assembly must pass the owner registry.
-  void import_counter_set(const CounterSet& counters,
-                          const std::string& prefix,
-                          const MetricsRegistry* handle_owner = nullptr);
 
   /// Prometheus text exposition format.
   [[nodiscard]] std::string to_prometheus(

@@ -69,30 +69,27 @@ class SelectivityEstimator {
         static_cast<double>(result_count) / total_fraction;
     for (auto [idx, fraction] : buckets) {
       // Exponential blend: full trust on first light, then smoothing.
+      double before = density_[idx];
       if (!lit_[idx]) {
         density_[idx] = per_full_bucket;
         lit_[idx] = true;
+        ++lit_count_;
       } else {
         density_[idx] = 0.7 * density_[idx] + 0.3 * per_full_bucket;
       }
+      lit_sum_ += density_[idx] - before;
     }
   }
 
   /// Estimated number of detections a range query would return. Unlit
-  /// buckets contribute the mean density of lit buckets (uniformity prior).
+  /// buckets contribute the mean density of lit buckets (uniformity prior),
+  /// kept as a running sum and count so no call rescans every bucket.
   [[nodiscard]] double estimate(const Rect& region,
                                 const TimeInterval& interval) const {
     auto buckets = covered_buckets(region, interval);
     if (buckets.empty()) return 0.0;
-    double lit_sum = 0.0;
-    std::size_t lit_count = 0;
-    for (std::size_t i = 0; i < density_.size(); ++i) {
-      if (lit_[i]) {
-        lit_sum += density_[i];
-        ++lit_count;
-      }
-    }
-    double prior = lit_count ? lit_sum / static_cast<double>(lit_count) : 0.0;
+    double prior =
+        lit_count_ ? lit_sum_ / static_cast<double>(lit_count_) : 0.0;
     double total = 0.0;
     for (auto [idx, fraction] : buckets) {
       total += (lit_[idx] ? density_[idx] : prior) * fraction;
@@ -102,9 +99,8 @@ class SelectivityEstimator {
 
   /// Fraction of buckets with at least one observation.
   [[nodiscard]] double coverage() const {
-    std::size_t lit_count = 0;
-    for (bool b : lit_) lit_count += b ? 1 : 0;
-    return static_cast<double>(lit_count) / static_cast<double>(lit_.size());
+    return static_cast<double>(lit_count_) /
+           static_cast<double>(lit_.size());
   }
 
  private:
@@ -164,6 +160,9 @@ class SelectivityEstimator {
   SelectivityConfig config_;
   std::vector<double> density_;
   std::vector<bool> lit_;
+  // Running prior over lit buckets: exact count, incrementally kept sum.
+  std::size_t lit_count_ = 0;
+  double lit_sum_ = 0.0;
 };
 
 }  // namespace stcn

@@ -240,11 +240,54 @@ TEST(ClusterIntegration, NetworkBytesAccounted) {
       std::make_unique<SpatialGridStrategy>(s.world, 3, 3, s.trace.cameras),
       config);
   cluster.ingest_all(s.trace.detections);
-  const CounterSet& counters = cluster.network().counters();
+  const MetricsRegistry& counters = cluster.network().counters();
   EXPECT_GT(counters.get("messages_sent"), 0u);
   EXPECT_GT(counters.get("bytes_sent"),
             s.trace.detections.size() * 50)
       << "every detection crosses the wire at least once";
+}
+
+TEST(ClusterIntegration, FailoverCountsReachPrometheusExport) {
+  Scenario& s = scenario();
+  ClusterConfig config;
+  config.worker_count = 4;
+  Cluster cluster(
+      s.world,
+      std::make_unique<SpatialGridStrategy>(s.world, 3, 3, s.trace.cameras),
+      config);
+  cluster.ingest_all(s.trace.detections);
+  cluster.crash_worker(WorkerId(2));
+  // Past the heartbeat timeout the failure detector fails the partitions
+  // over to their backups.
+  cluster.advance_time(Duration::seconds(10));
+  std::uint64_t failed_over =
+      cluster.coordinator().counters().get("partitions_failed_over");
+  ASSERT_GT(failed_over, 0u);
+  std::string text = cluster.coordinator().metrics().to_prometheus();
+  EXPECT_NE(text.find("\nstcn_partitions_failed_over " +
+                      std::to_string(failed_over) + "\n"),
+            std::string::npos);
+}
+
+TEST(ClusterIntegration, SnapshotSumsWorkerEventCounters) {
+  Scenario& s = scenario();
+  ClusterConfig config;
+  config.worker_count = 3;
+  config.retention = Duration::minutes(1);  // compaction evicts rows
+  Cluster cluster(
+      s.world,
+      std::make_unique<SpatialGridStrategy>(s.world, 3, 3, s.trace.cameras),
+      config);
+  cluster.ingest_all(s.trace.detections);
+  MetricsRegistry snapshot = cluster.metrics_snapshot();
+  for (const char* name : {"summaries_published", "detections_evicted"}) {
+    std::uint64_t sum = 0;
+    for (WorkerId w : cluster.worker_ids()) {
+      sum += cluster.worker(w).counters().get(name);
+    }
+    EXPECT_GT(sum, 0u) << name;
+    EXPECT_EQ(snapshot.get(std::string("worker.") + name), sum) << name;
+  }
 }
 
 }  // namespace

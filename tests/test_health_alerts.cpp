@@ -356,6 +356,23 @@ TEST(ClusterHealthWiring, SourcesRulesAndSnapshotNamespacing) {
             scenario().trace.detections.size());
 }
 
+TEST(ClusterHealthWiring, CoordinatorEventCountersFeedRateRules) {
+  // Crash counts live in the coordinator's registry, the one store the
+  // monitor samples, so a rate rule on them fires like on any other metric.
+  auto cluster = make_cluster();
+  HealthMonitor& monitor = cluster->health_monitor();
+  AlertRule rule = rate_rule("crash_rate", "workers_crashed", 0.0);
+  rule.source_filter = "coordinator";
+  rule.for_samples = 1;
+  monitor.add_rule(rule);
+  cluster->sample_health();  // baseline: rates need two samples
+  cluster->advance_time(Duration::millis(500));
+
+  cluster->crash_worker(WorkerId(3));
+  cluster->sample_health();
+  EXPECT_TRUE(monitor.is_firing("crash_rate", "coordinator"));
+}
+
 TEST(ClusterHealthWiring, TickerSamplesOnSimClock) {
   ClusterConfig config;
   config.health.enabled = true;

@@ -149,7 +149,7 @@ TEST(LatencyHistogram, MergeAccumulates) {
   EXPECT_DOUBLE_EQ(a.max(), 1000.0);
 }
 
-TEST(MetricsRegistry, HandlesAreStableAndSynced) {
+TEST(MetricsRegistry, HandlesAreStableAndReadByName) {
   MetricsRegistry registry;
   Counter& c = registry.counter("events");
   c.inc();
@@ -159,11 +159,10 @@ TEST(MetricsRegistry, HandlesAreStableAndSynced) {
   registry.gauge("depth").set(3.5);
   registry.histogram("lat_us").observe(12.0);
 
-  CounterSet sink;
-  sink.add("preexisting", 7);
-  registry.sync_counters_into(sink);
-  EXPECT_EQ(sink.get("events"), 5u);
-  EXPECT_EQ(sink.get("preexisting"), 7u);  // untouched
+  EXPECT_EQ(registry.get("events"), 5u);
+  EXPECT_EQ(registry.get("missing"), 0u);  // absent names read 0
+  EXPECT_EQ(registry.get("depth"), 0u);    // gauges are not counters
+  EXPECT_FALSE(registry.counters().contains("missing"));  // get registers none
 }
 
 TEST(MetricsRegistry, JsonRoundTripIsExact) {
@@ -276,7 +275,7 @@ TEST(MetricsRegistry, PrometheusEscapesLabelKeysAndValues) {
             "p3");
 }
 
-TEST(MetricsRegistry, MergeAndImportSkipHandleBackedNames) {
+TEST(MetricsRegistry, MergeIntoSumsSameNamesAcrossNodes) {
   MetricsRegistry worker;
   worker.counter("ingested").add(10);
   worker.histogram("scan_wall_us").observe(5.0);
@@ -286,43 +285,6 @@ TEST(MetricsRegistry, MergeAndImportSkipHandleBackedNames) {
   worker.merge_into(snapshot, "worker.");  // second worker with same names
   EXPECT_EQ(snapshot.counter("worker.ingested").value(), 20u);
   EXPECT_EQ(snapshot.histogram("worker.scan_wall_us").count(), 2u);
-
-  // import_counter_set must not double-count names the registry already
-  // mirrors into the CounterSet.
-  CounterSet legacy;
-  worker.sync_counters_into(legacy);
-  legacy.add("eager_only", 3);
-  MetricsRegistry merged;
-  worker.merge_into(merged, "");
-  merged.import_counter_set(legacy, "");
-  EXPECT_EQ(merged.counter("ingested").value(), 10u);
-  EXPECT_EQ(merged.counter("eager_only").value(), 3u);
-}
-
-TEST(MetricsRegistry, ImportCounterSetSumsEagerNamesAcrossOwners) {
-  // Two nodes whose CounterSets mirror their handle-backed counters
-  // (sync_counters_into) and also hold eager-only counters. Snapshot
-  // assembly must skip the mirrored names (already merged via merge_into)
-  // but SUM the eager names — the old prefix-collision guard dropped the
-  // second node's eager counters entirely.
-  MetricsRegistry w1;
-  MetricsRegistry w2;
-  w1.counter("ingested").add(10);
-  w2.counter("ingested").add(5);
-  CounterSet c1;
-  CounterSet c2;
-  w1.sync_counters_into(c1);
-  w2.sync_counters_into(c2);
-  c1.add("frames", 3);
-  c2.add("frames", 4);
-
-  MetricsRegistry snapshot;
-  w1.merge_into(snapshot, "worker.");
-  w2.merge_into(snapshot, "worker.");
-  snapshot.import_counter_set(c1, "worker.", &w1);
-  snapshot.import_counter_set(c2, "worker.", &w2);
-  EXPECT_EQ(snapshot.counter("worker.ingested").value(), 15u);  // no dupes
-  EXPECT_EQ(snapshot.counter("worker.frames").value(), 7u);     // summed
 }
 
 // ------------------------------------------------------ quantile recorder

@@ -23,7 +23,7 @@ namespace {
 class ChannelNode final : public NetworkNode {
  public:
   explicit ChannelNode(NodeId id, ReliableChannelConfig config = {})
-      : id_(id), channel_(id, counters_, config) {}
+      : id_(id), channel_(id, metrics_, config) {}
 
   [[nodiscard]] NodeId node_id() const override { return id_; }
 
@@ -45,13 +45,13 @@ class ChannelNode final : public NetworkNode {
   }
 
   ReliableChannel& channel() { return channel_; }
-  const CounterSet& counters() const { return counters_; }
+  const MetricsRegistry& counters() const { return metrics_; }
 
   std::vector<Message> delivered;
 
  private:
   NodeId id_;
-  CounterSet counters_;
+  MetricsRegistry metrics_;
   ReliableChannel channel_;
 };
 
@@ -259,7 +259,7 @@ TEST(ReliableChannelE2E, HedgingMasksGrayFailure) {
                          TimeInterval::all());
   EXPECT_EQ(ids_of(cluster.execute(q)), ids_of(oracle.execute(q)));
 
-  const CounterSet& cc = cluster.coordinator().counters();
+  const MetricsRegistry& cc = cluster.coordinator().counters();
   EXPECT_GT(cc.get("hedges_issued"), 0u);
   EXPECT_GT(cc.get("hedges_won"), 0u);
   EXPECT_EQ(cc.get("workers_suspected"), 0u);  // detector never fired

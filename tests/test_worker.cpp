@@ -35,7 +35,7 @@ WorkerConfig worker_config() {
 /// forever.
 class CoordStub final : public NetworkNode {
  public:
-  CoordStub() : channel_(kCoord, counters_) {}
+  CoordStub() : channel_(kCoord, metrics_) {}
   [[nodiscard]] NodeId node_id() const override { return kCoord; }
   void handle_message(const Message& message, SimNetwork& network) override {
     Message inner = message;
@@ -70,7 +70,7 @@ class CoordStub final : public NetworkNode {
   std::vector<WireDelta> deltas;
 
  private:
-  CounterSet counters_;
+  MetricsRegistry metrics_;
   ReliableChannel channel_;
 };
 
